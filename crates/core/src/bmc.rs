@@ -141,13 +141,81 @@ pub fn decode_command(frame: &[u8]) -> Result<BmcCommand, BmcProtocolError> {
     }
 }
 
+/// What a logged management event records. `Display` renders the
+/// human-readable log line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum BmcEventKind {
+    /// A SoC was woken to take work.
+    Wake {
+        /// The SoC slot.
+        soc: u32,
+    },
+    /// An idle SoC went to sleep.
+    Sleep {
+        /// The SoC slot.
+        soc: u32,
+    },
+    /// A fault took a SoC offline; its workloads were migrated or dropped.
+    FaultOffline {
+        /// The SoC slot.
+        soc: u32,
+    },
+    /// A fault took a SoC out of service; its workloads were handed back
+    /// to the recovery policy.
+    FaultOutOfService {
+        /// The SoC slot.
+        soc: u32,
+    },
+    /// A workload migrated off a faulted SoC.
+    Migrated {
+        /// The workload id.
+        workload: u64,
+        /// The SoC slot it landed on.
+        soc: u32,
+    },
+    /// A workload was dropped: no healthy SoC could absorb it.
+    Dropped {
+        /// The workload id.
+        workload: u64,
+    },
+    /// A failed SoC was returned to service.
+    Restored {
+        /// The SoC slot.
+        soc: u32,
+    },
+    /// A `SetSocPowerState` command powered a SoC off.
+    PoweredOff {
+        /// The SoC slot.
+        soc: u32,
+    },
+}
+
+impl core::fmt::Display for BmcEventKind {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            BmcEventKind::Wake { soc } => write!(f, "wake soc {soc}"),
+            BmcEventKind::Sleep { soc } => write!(f, "sleep soc {soc}"),
+            BmcEventKind::FaultOffline { soc } => write!(f, "fault: soc {soc} offline"),
+            BmcEventKind::FaultOutOfService { soc } => {
+                write!(f, "fault: soc {soc} out of service")
+            }
+            BmcEventKind::Migrated { workload, soc } => {
+                write!(f, "migrated workload {workload} to soc {soc}")
+            }
+            BmcEventKind::Dropped { workload } => write!(f, "dropped workload {workload}"),
+            BmcEventKind::Restored { soc } => write!(f, "soc {soc} restored to service"),
+            BmcEventKind::PoweredOff { soc } => write!(f, "bmc: soc {soc} powered off"),
+        }
+    }
+}
+
 /// A logged management event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BmcEvent {
     /// When it happened.
     pub at: SimTime,
-    /// Event description.
-    pub message: String,
+    /// What happened.
+    pub kind: BmcEventKind,
 }
 
 /// The BMC: sensor snapshot plus event log.
@@ -176,10 +244,11 @@ impl Bmc {
         }
     }
 
-    /// Refreshes the sensor snapshot (called by the cluster each step).
-    pub fn refresh(&mut self, soc_power: &[Power], chassis: Power, fan_duty: f64) {
-        for (slot, p) in self.soc_power_w.iter_mut().zip(soc_power) {
-            *slot = p.as_watts();
+    /// Refreshes the sensor snapshot (called by the cluster each step)
+    /// from per-SoC power readings in watts.
+    pub fn refresh(&mut self, soc_power_w: &[f64], chassis: Power, fan_duty: f64) {
+        for (slot, &w) in self.soc_power_w.iter_mut().zip(soc_power_w) {
+            *slot = w;
         }
         self.chassis_power_w = chassis.as_watts();
         self.fan_duty = fan_duty;
@@ -193,11 +262,8 @@ impl Bmc {
     }
 
     /// Appends an event to the log.
-    pub fn log(&mut self, at: SimTime, message: impl Into<String>) {
-        self.events.push(BmcEvent {
-            at,
-            message: message.into(),
-        });
+    pub fn log(&mut self, at: SimTime, kind: BmcEventKind) {
+        self.events.push(BmcEvent { at, kind });
     }
 
     /// The event log.
@@ -292,11 +358,7 @@ mod tests {
     #[test]
     fn power_readout_in_centiwatts() {
         let mut bmc = Bmc::new(2);
-        bmc.refresh(
-            &[Power::watts(6.61), Power::watts(2.0)],
-            Power::watts(589.0),
-            0.66,
-        );
+        bmc.refresh(&[6.61, 2.0], Power::watts(589.0), 0.66);
         let r = bmc
             .handle_frame(&encode_command(BmcCommand::ReadSocPower(0)))
             .unwrap();
@@ -333,12 +395,19 @@ mod tests {
     #[test]
     fn event_log_counts() {
         let mut bmc = Bmc::new(1);
-        bmc.log(SimTime::from_secs(1), "soc 0 flash failure");
-        bmc.log(SimTime::from_secs(2), "soc 0 powered off");
+        bmc.log(
+            SimTime::from_secs(1),
+            BmcEventKind::FaultOutOfService { soc: 0 },
+        );
+        bmc.log(SimTime::from_secs(2), BmcEventKind::PoweredOff { soc: 0 });
         assert_eq!(
             bmc.execute(BmcCommand::ReadEventCount).unwrap(),
             BmcResponse::Count(2)
         );
-        assert_eq!(bmc.events()[0].message, "soc 0 flash failure");
+        assert_eq!(
+            bmc.events()[0].kind.to_string(),
+            "fault: soc 0 out of service"
+        );
+        assert_eq!(bmc.events()[1].kind.to_string(), "bmc: soc 0 powered off");
     }
 }

@@ -120,6 +120,15 @@ impl SocCluster {
         self.socs.iter().map(SocUnit::total_power).sum::<Power>() + self.chassis_power()
     }
 
+    /// Total server power from per-SoC readings in watts (`soc_power_w[i]`
+    /// is SoC `i`'s [`SocUnit::total_power`]): the same slot-order sum as
+    /// [`Self::total_power`], so the same bits when the readings are
+    /// current.
+    pub fn total_power_from(&self, soc_power_w: &[f64]) -> Power {
+        debug_assert_eq!(soc_power_w.len(), self.socs.len());
+        Power::watts(soc_power_w.iter().sum()) + self.chassis_power()
+    }
+
     /// Total workload (idle-excluded) power of all SoCs.
     pub fn workload_power(&self) -> Power {
         self.socs.iter().map(SocUnit::workload_power).sum()
@@ -145,12 +154,14 @@ impl SocCluster {
         counts
     }
 
-    /// Advances the thermal model by `dt` and updates the fan duty from the
-    /// hottest SoC.
-    pub fn step_thermal(&mut self, dt: SimDuration) {
+    /// Advances the thermal model by `dt` with each SoC dissipating
+    /// `soc_power_w[i]` watts (its [`SocUnit::total_power`], as booked by
+    /// the caller), and updates the fan duty from the hottest SoC.
+    pub fn step_thermal(&mut self, dt: SimDuration, soc_power_w: &[f64]) {
+        debug_assert_eq!(soc_power_w.len(), self.socs.len());
         let duty = self.fan_duty;
-        for (node, soc) in self.thermal.iter_mut().zip(&self.socs) {
-            node.step(dt, soc.total_power(), duty);
+        for (node, &w) in self.thermal.iter_mut().zip(soc_power_w) {
+            node.step(dt, Power::watts(w), duty);
         }
         let hottest = self
             .thermal
@@ -173,11 +184,23 @@ impl SocCluster {
         self.thermal.iter().any(ThermalNode::is_throttling)
     }
 
-    /// Refreshes the BMC's sensor snapshot from current state.
-    pub fn refresh_bmc(&mut self) {
-        let soc_power: Vec<Power> = self.socs.iter().map(SocUnit::total_power).collect();
-        let total = self.total_power();
-        self.bmc.refresh(&soc_power, total, self.fan_duty);
+    /// Refreshes the BMC's sensor snapshot from per-SoC power readings
+    /// (`soc_power_w[i]` is SoC `i`'s [`SocUnit::total_power`] in watts)
+    /// and the current chassis state.
+    pub fn refresh_bmc(&mut self, soc_power_w: &[f64]) {
+        let total = self.total_power_from(soc_power_w);
+        self.bmc.refresh(soc_power_w, total, self.fan_duty);
+    }
+
+    /// Every SoC's current [`SocUnit::total_power`] in watts, in slot
+    /// order: the readings [`Self::step_thermal`] and
+    /// [`Self::refresh_bmc`] take.
+    #[cfg(test)]
+    pub(crate) fn soc_power_w(&self) -> Vec<f64> {
+        self.socs
+            .iter()
+            .map(|s| s.total_power().as_watts())
+            .collect()
     }
 }
 
@@ -212,8 +235,9 @@ mod tests {
             soc.place(&full_cpu_demand());
         }
         // Let thermals settle so the fans spin up realistically.
+        let soc_power_w = c.soc_power_w();
         for _ in 0..600 {
-            c.step_thermal(SimDuration::from_secs(1));
+            c.step_thermal(SimDuration::from_secs(1), &soc_power_w);
         }
         let p = c.total_power().as_watts();
         let target = calib::CLUSTER_AVG_PEAK_W;
@@ -271,8 +295,9 @@ mod tests {
         for soc in &mut c.socs {
             soc.place(&full_cpu_demand());
         }
+        let soc_power_w = c.soc_power_w();
         for _ in 0..600 {
-            c.step_thermal(SimDuration::from_secs(1));
+            c.step_thermal(SimDuration::from_secs(1), &soc_power_w);
         }
         assert!(c.fan_duty() > cold_duty);
         assert!(
@@ -285,7 +310,7 @@ mod tests {
     fn bmc_snapshot_tracks_power() {
         let mut c = SocCluster::new(ClusterConfig::default());
         c.socs[0].place(&full_cpu_demand());
-        c.refresh_bmc();
+        c.refresh_bmc(&c.soc_power_w());
         let r = c
             .bmc
             .handle_frame(&crate::bmc::encode_command(

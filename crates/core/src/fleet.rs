@@ -299,7 +299,7 @@ impl SiteJob {
                 }
             }
         }
-        let _ = orch.take_completions();
+        orch.drain_completions();
         r.active = orch.active_workloads();
         r.energy_j = orch.energy().as_joules();
         r.power_w = orch.power().as_watts();

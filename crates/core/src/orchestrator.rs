@@ -12,6 +12,7 @@ use socc_sim::span::{EventKind, EventLog, Scope};
 use socc_sim::time::{SimDuration, SimTime};
 use socc_sim::units::{Energy, Power};
 
+use crate::bmc::BmcEventKind;
 use crate::cluster::{ClusterConfig, SocCluster};
 use crate::placement_index::PlacementIndex;
 use crate::priority::{priority_of, Priority};
@@ -88,6 +89,14 @@ pub struct Orchestrator {
     /// Per-component energy ledger with PCB-board and PSU-rail roll-ups;
     /// its conservation identity is re-checked on every clock advance.
     ledger: EnergyLedger,
+    /// Each SoC's `total_power()` in watts as last booked into the meter,
+    /// the ledger and the BMC (see [`Self::flush`]).
+    soc_watts: Vec<f64>,
+    /// Bitset of SoCs whose power may have changed since the last flush:
+    /// every place/release/decommission/restore/sleep marks its SoC.
+    dirty: Vec<u64>,
+    /// The instant every ledger meter was last brought up to.
+    booked_at: SimTime,
     /// Typed structured event log (placements, migrations, power
     /// transitions, faults) shared with the recovery engine.
     events: EventLog,
@@ -117,8 +126,11 @@ impl Orchestrator {
             socc_hw::calib::SOCS_PER_PCB,
             crate::faults::PSU_RAILS,
         );
+        let mut soc_watts = Vec::with_capacity(soc_count);
         for (i, soc) in cluster.socs.iter().enumerate() {
-            ledger.set_soc_power(SimTime::ZERO, i, soc.component_powers());
+            let p = soc.component_powers();
+            soc_watts.push(p.total().as_watts());
+            ledger.set_soc_power(SimTime::ZERO, i, p);
         }
         ledger.set_chassis_power(SimTime::ZERO, cluster.chassis_power());
         Self {
@@ -136,6 +148,9 @@ impl Orchestrator {
             completions: Vec::new(),
             admission_floor: None,
             ledger,
+            soc_watts,
+            dirty: vec![0; soc_count.div_ceil(64)],
+            booked_at: SimTime::ZERO,
             events: EventLog::new(EVENT_CAPACITY),
         }
     }
@@ -163,7 +178,8 @@ impl Orchestrator {
 
     /// Total server power right now.
     pub fn power(&self) -> Power {
-        self.cluster.total_power()
+        self.debug_assert_booked();
+        self.booked_power()
     }
 
     /// Energy consumed by the whole server since t=0.
@@ -207,23 +223,75 @@ impl Orchestrator {
         self.workloads.len()
     }
 
-    fn record_power(&mut self) {
-        let p = self.cluster.total_power();
+    /// Marks a SoC whose power may have changed; the next
+    /// [`Self::flush`] books it.
+    fn mark(&mut self, soc: usize) {
+        self.dirty[soc / 64] |= 1 << (soc % 64);
+    }
+
+    /// Total server power from the booked SoC watts: the same bits as
+    /// `SocCluster::total_power` while no SoC is dirty.
+    fn booked_power(&self) -> Power {
+        self.cluster.total_power_from(&self.soc_watts)
+    }
+
+    /// Debug check that every SoC change has been flushed.
+    fn debug_assert_booked(&self) {
+        debug_assert!(
+            self.dirty.iter().all(|&w| w == 0),
+            "a SoC changed power without being flushed"
+        );
+    }
+
+    /// Books the marked SoCs' power into the ledger and the meter, in
+    /// O(marked SoCs).
+    ///
+    /// Bit-identical to re-booking every SoC: after `ledger.advance(now)`
+    /// every meter sits at `now`, so re-setting an unchanged SoC would
+    /// integrate `dt = 0` and move its rail by exactly `0.0`. Marked SoCs
+    /// are booked in ascending slot order, the order of the full sweep,
+    /// so the rail deltas are summed in the same order.
+    fn flush(&mut self) {
+        if self.booked_at != self.now {
+            self.ledger.advance(self.now);
+            self.booked_at = self.now;
+        }
+        for word in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[word]);
+            while bits != 0 {
+                let soc = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let p = self.cluster.socs[soc].component_powers();
+                self.soc_watts[soc] = p.total().as_watts();
+                self.ledger.set_soc_power(self.now, soc, p);
+            }
+        }
+        debug_assert!(
+            self.cluster
+                .socs
+                .iter()
+                .zip(&self.soc_watts)
+                .all(|(s, &w)| s.total_power().as_watts().to_bits() == w.to_bits()),
+            "a SoC changed power without being marked"
+        );
+        let p = self.booked_power();
+        debug_assert_eq!(
+            p.as_watts().to_bits(),
+            self.cluster.total_power().as_watts().to_bits()
+        );
         self.meter.set_power(self.now, p);
         self.power_series.push(self.now, p.as_watts());
-        for i in 0..self.cluster.socs.len() {
-            self.ledger
-                .set_soc_power(self.now, i, self.cluster.socs[i].component_powers());
-        }
         self.ledger
             .set_chassis_power(self.now, self.cluster.chassis_power());
     }
 
-    /// Re-summarizes one SoC in the placement index. Every code path that
-    /// mutates a SoC's resources or health must call this before the next
-    /// placement decision.
+    /// Re-summarizes one SoC in the placement index and marks its power
+    /// for the next flush. Every code path that mutates a SoC's resources,
+    /// health or power state must call this before the next placement
+    /// decision.
     fn reindex(&mut self, soc: usize) {
         self.placement.update(soc, &self.cluster.socs[soc]);
+        self.mark(soc);
     }
 
     /// Translates a spec into a per-SoC resource demand and (for archive
@@ -348,6 +416,7 @@ impl Orchestrator {
         spec: WorkloadSpec,
         avoid: Option<&[Range<usize>]>,
     ) -> Result<WorkloadId, AdmissionError> {
+        self.debug_assert_booked();
         if let Some(floor) = self.admission_floor {
             if priority_of(&spec) < floor {
                 self.stats.rejected += 1;
@@ -387,7 +456,9 @@ impl Orchestrator {
         }
         if !self.cluster.socs[soc].state.is_serving() {
             self.stats.wakeups += 1;
-            self.cluster.bmc.log(self.now, format!("wake soc {soc}"));
+            self.cluster
+                .bmc
+                .log(self.now, BmcEventKind::Wake { soc: soc as u32 });
             self.events
                 .record(self.now, Scope::Power, EventKind::Wake { soc: soc as u32 });
         }
@@ -415,7 +486,7 @@ impl Orchestrator {
             },
         );
         self.stats.admitted += 1;
-        self.record_power();
+        self.flush();
         Ok(id)
     }
 
@@ -453,15 +524,16 @@ impl Orchestrator {
                 soc: placed.soc as u32,
             },
         );
-        self.record_power();
+        self.flush();
         Ok(())
     }
 
     /// Drains the ids of workloads that completed (finished explicitly or
     /// ran to their archive deadline) since the last call, in completion
-    /// order.
-    pub fn take_completions(&mut self) -> Vec<WorkloadId> {
-        std::mem::take(&mut self.completions)
+    /// order. The buffer keeps its capacity; dropping the iterator
+    /// discards whatever it did not yield.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, WorkloadId> {
+        self.completions.drain(..)
     }
 
     fn release(&mut self, placed: &Placed) {
@@ -489,7 +561,7 @@ impl Orchestrator {
         self.reindex(soc);
         self.idle_since[soc] = None;
         self.stats.admitted += 1;
-        self.record_power();
+        self.flush();
     }
 
     /// Releases a pinned demand from a specific SoC.
@@ -502,7 +574,7 @@ impl Orchestrator {
             self.reindex(soc);
         }
         self.stats.completed += 1;
-        self.record_power();
+        self.flush();
     }
 
     /// Next internally scheduled event (archive completion or sleep
@@ -540,12 +612,13 @@ impl Orchestrator {
     /// Panics if `t` is in the past.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot advance backwards");
+        self.debug_assert_booked();
         let start = self.now;
         while let Some(event_time) = self.next_event(t) {
             self.now = event_time;
             // Archive completions due now (id-sorted: the backing map does
             // not iterate deterministically and completion order is
-            // observable through `take_completions`).
+            // observable through `drain_completions`).
             let mut due: Vec<WorkloadId> = self
                 .workloads
                 .iter()
@@ -576,7 +649,10 @@ impl Orchestrator {
                         && self.idle_since[i].is_some_and(|since| since + after <= event_time)
                     {
                         soc.state = PowerState::Sleep;
-                        self.cluster.bmc.log(event_time, format!("sleep soc {i}"));
+                        self.mark(i);
+                        self.cluster
+                            .bmc
+                            .log(event_time, BmcEventKind::Sleep { soc: i as u32 });
                         self.events.record(
                             event_time,
                             Scope::Power,
@@ -585,15 +661,17 @@ impl Orchestrator {
                     }
                 }
             }
-            self.record_power();
+            self.flush();
         }
         self.now = t;
-        self.cluster.step_thermal(t.saturating_since(start));
-        self.cluster.refresh_bmc();
+        self.cluster
+            .step_thermal(t.saturating_since(start), &self.soc_watts);
+        self.cluster.refresh_bmc(&self.soc_watts);
         // Energy-conservation tick: the per-component ledger and the
         // incrementally maintained PSU-rail roll-up must tell the same
         // story. A bookkeeping bug on either side fails loudly here.
         self.ledger.advance(t);
+        self.booked_at = t;
         if let Err(rel) = self.ledger.verify_conservation(t, CONSERVATION_REL_TOL) {
             panic!("energy ledger conservation violated at {t}: relative error {rel:.3e}");
         }
@@ -609,18 +687,21 @@ impl Orchestrator {
         self.reindex(soc);
         self.cluster
             .bmc
-            .log(self.now, format!("fault: soc {soc} offline"));
+            .log(self.now, BmcEventKind::FaultOffline { soc: soc as u32 });
         self.events.record(
             self.now,
             Scope::Fault,
             EventKind::SocOff { soc: soc as u32 },
         );
-        let victims: Vec<WorkloadId> = self
+        // Id-sorted: the backing map does not iterate deterministically,
+        // and the migration order decides which victim lands where.
+        let mut victims: Vec<WorkloadId> = self
             .workloads
             .iter()
             .filter(|(_, p)| p.soc == soc)
             .map(|(&id, _)| id)
             .collect();
+        victims.sort();
         for id in victims {
             let mut placed = self.workloads.remove(&id).expect("victim exists");
             match self
@@ -641,7 +722,10 @@ impl Orchestrator {
                     self.stats.migrations += 1;
                     self.cluster.bmc.log(
                         self.now,
-                        format!("migrated workload {} to soc {target}", id.0),
+                        BmcEventKind::Migrated {
+                            workload: id.0,
+                            soc: target as u32,
+                        },
                     );
                     self.events.record(
                         self.now,
@@ -657,7 +741,7 @@ impl Orchestrator {
                     self.stats.dropped += 1;
                     self.cluster
                         .bmc
-                        .log(self.now, format!("dropped workload {}", id.0));
+                        .log(self.now, BmcEventKind::Dropped { workload: id.0 });
                     self.events.record(
                         self.now,
                         Scope::Recovery,
@@ -666,7 +750,7 @@ impl Orchestrator {
                 }
             }
         }
-        self.record_power();
+        self.flush();
     }
 
     /// Takes a SoC out of service *without* migrating its workloads:
@@ -681,9 +765,10 @@ impl Orchestrator {
         self.cluster.socs[soc].decommission();
         self.reindex(soc);
         self.idle_since[soc] = None;
-        self.cluster
-            .bmc
-            .log(self.now, format!("fault: soc {soc} out of service"));
+        self.cluster.bmc.log(
+            self.now,
+            BmcEventKind::FaultOutOfService { soc: soc as u32 },
+        );
         self.events.record(
             self.now,
             Scope::Fault,
@@ -708,7 +793,7 @@ impl Orchestrator {
         // would be billed at the pre-fault level — a whole-site blackout
         // (every SoC failed, nothing submitted until power returns) would
         // never flatline.
-        self.record_power();
+        self.flush();
         stranded
     }
 
@@ -724,13 +809,13 @@ impl Orchestrator {
         self.idle_since[soc] = Some(self.now);
         self.cluster
             .bmc
-            .log(self.now, format!("soc {soc} restored to service"));
+            .log(self.now, BmcEventKind::Restored { soc: soc as u32 });
         self.events.record(
             self.now,
             Scope::Recovery,
             EventKind::SocRestored { soc: soc as u32 },
         );
-        self.record_power();
+        self.flush();
         true
     }
 
@@ -759,7 +844,7 @@ impl Orchestrator {
                         self.idle_since[soc] = None;
                         self.cluster
                             .bmc
-                            .log(self.now, format!("bmc: soc {soc} powered off"));
+                            .log(self.now, BmcEventKind::PoweredOff { soc: soc as u32 });
                         self.events.record(
                             self.now,
                             Scope::Power,
@@ -776,7 +861,7 @@ impl Orchestrator {
             }
         }
         if applied > 0 {
-            self.record_power();
+            self.flush();
         }
         applied
     }
@@ -1076,7 +1161,7 @@ mod tests {
     }
 
     #[test]
-    fn take_completions_reports_finished_ids() {
+    fn drain_completions_reports_finished_ids() {
         let mut o = orch();
         let live = o.submit(live_v1()).unwrap();
         let video = socc_video::vbench::by_id("V1").unwrap();
@@ -1084,10 +1169,10 @@ mod tests {
             .submit(WorkloadSpec::ArchiveJob { video, frames: 156 })
             .unwrap();
         o.finish(live).unwrap();
-        assert_eq!(o.take_completions(), vec![live]);
+        assert!(o.drain_completions().eq([live]));
         o.advance_to(SimTime::from_secs(20));
-        assert_eq!(o.take_completions(), vec![job]);
-        assert!(o.take_completions().is_empty());
+        assert!(o.drain_completions().eq([job]));
+        assert_eq!(o.drain_completions().next(), None);
     }
 
     // `&[Range]` is the avoid-set type; one board is one range.
